@@ -80,6 +80,6 @@ pub use ntcs_nucleus::{
     HistogramSnapshot, HopRecord, Lane, Layer, LayerTrace, MetricsRegistry, ModuleReport, Nucleus,
     NucleusConfig, NucleusMetricsSnapshot, ObsCollect, ObsCollectReply, ObsQuery, ObsReply,
     RecordedEvent, RecorderSettings, RetryPolicy, SubstrateBinding, SubstrateSettings, TraceEvent,
-    TraceId, TraceQuery, TraceReply, CONTROL_TYPE_MAX,
+    TraceId, TraceQuery, TraceReply, WeakNucleus, CONTROL_TYPE_MAX,
 };
 pub use ntcs_wire::{ntcs_message, ConvMode, InboundPayload, Message, Packable};

@@ -21,7 +21,8 @@
 //! dead-letters.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -45,10 +46,7 @@ const SHM_FULL_POLL: Duration = Duration::from_micros(200);
 /// must surface as a typed error, never a hung sender.
 const SHM_STALL_WAIT: Duration = Duration::from_secs(2);
 
-/// Idle-consumer poll interval once the initial spin is exhausted.
-const SHM_IDLE_POLL: Duration = Duration::from_micros(50);
-
-/// Consumer spin iterations before sleeping between polls.
+/// Consumer spin iterations before parking.
 const SHM_SPIN: usize = 64;
 
 /// A lock-minimal single-producer single-consumer ring.
@@ -62,6 +60,10 @@ const SHM_SPIN: usize = 64;
 /// The SPSC contract is the caller's: [`ShmChannel`] serialises each
 /// direction behind a send-side lock. Violating it cannot corrupt memory
 /// (safe Rust), only forfeit FIFO ordering.
+///
+/// An idle consumer parks instead of polling
+/// ([`ShmRing::park_consumer`]); a push unparks it only when it is
+/// parked, so a busy ring pays one extra atomic load per push.
 #[derive(Debug)]
 pub struct ShmRing<T> {
     mask: usize,
@@ -70,6 +72,10 @@ pub struct ShmRing<T> {
     /// Next slot to push (producer-owned).
     tail: AtomicUsize,
     slots: Box<[Mutex<Option<T>>]>,
+    /// Set while the consumer is parked (or about to park).
+    parked: AtomicBool,
+    /// The thread that last parked as consumer.
+    consumer: Mutex<Option<Thread>>,
 }
 
 impl<T> ShmRing<T> {
@@ -84,6 +90,8 @@ impl<T> ShmRing<T> {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
             slots: slots.into_boxed_slice(),
+            parked: AtomicBool::new(false),
+            consumer: Mutex::new(None),
         }
     }
 
@@ -118,7 +126,12 @@ impl<T> ShmRing<T> {
             return Err(value);
         }
         *self.slots[tail & self.mask].lock() = Some(value);
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
+        // SeqCst pairs with `park_consumer`: either the consumer's emptiness
+        // check sees this push, or this load sees the consumer parked.
+        self.tail.store(tail.wrapping_add(1), Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
+            self.unpark_consumer();
+        }
         Ok(())
     }
 
@@ -131,6 +144,38 @@ impl<T> ShmRing<T> {
         let value = self.slots[head & self.mask].lock().take();
         self.head.store(head.wrapping_add(1), Ordering::Release);
         value
+    }
+
+    /// Parks the calling thread as this ring's consumer until a push, an
+    /// [`ShmRing::unpark_consumer`] or `timeout` (`None` waits
+    /// indefinitely). Returns at once if the ring is non-empty or `stop()`
+    /// holds once the thread is registered; `stop` is how a closing
+    /// channel, which sets its flag before unparking, can never be missed.
+    /// Wakeups may be spurious: callers re-check and park again.
+    pub fn park_consumer(&self, timeout: Option<Duration>, stop: impl Fn() -> bool) {
+        {
+            let mut consumer = self.consumer.lock();
+            let me = std::thread::current();
+            if consumer.as_ref().map(Thread::id) != Some(me.id()) {
+                *consumer = Some(me);
+            }
+        }
+        self.parked.store(true, Ordering::SeqCst);
+        let empty = self.head.load(Ordering::Relaxed) == self.tail.load(Ordering::SeqCst);
+        if empty && !stop() {
+            match timeout {
+                Some(t) => std::thread::park_timeout(t),
+                None => std::thread::park(),
+            }
+        }
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Wakes the thread last parked in [`ShmRing::park_consumer`], if any.
+    pub fn unpark_consumer(&self) {
+        if let Some(t) = self.consumer.lock().as_ref() {
+            t.unpark();
+        }
     }
 }
 
@@ -145,6 +190,10 @@ struct TimedFrame {
 #[derive(Debug)]
 pub(crate) struct ShmShared {
     closed: AtomicBool,
+    /// Both directions' rings, so closing the link wakes both consumers.
+    /// Weak: the endpoints own the rings, and a closed link handle kept by
+    /// the [`crate::World`] must not keep their slots alive.
+    rings: [Weak<ShmRing<TimedFrame>>; 2],
     conditions: Arc<LinkConditions>,
     /// The owning machine (both endpoints are co-located on it).
     machine: MachineId,
@@ -157,6 +206,9 @@ pub(crate) struct ShmShared {
 impl ShmShared {
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
+        for ring in self.rings.iter().filter_map(Weak::upgrade) {
+            ring.unpark_consumer();
+        }
     }
 }
 
@@ -305,12 +357,14 @@ impl IpcsChannel for ShmChannel {
                 }
             }
             // Spin briefly (the producer is a few cache lines away), then
-            // back off to a sleep poll.
+            // park until the producer's push or a close unparks us.
             spins += 1;
             if spins < SHM_SPIN {
                 std::hint::spin_loop();
             } else {
-                std::thread::sleep(SHM_IDLE_POLL);
+                let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                self.rx
+                    .park_consumer(left, || self.shared.closed.load(Ordering::SeqCst));
             }
         }
     }
@@ -500,6 +554,7 @@ impl ShmIpcs {
         let b = Arc::new(ShmRing::new(SHM_RING_CAP));
         let shared = Arc::new(ShmShared {
             closed: AtomicBool::new(false),
+            rings: [Arc::downgrade(&a), Arc::downgrade(&b)],
             conditions,
             machine: entry.owner,
             network,
@@ -662,10 +717,60 @@ mod tests {
         let (client, server) = pair(&ipcs);
         let t = std::thread::spawn(move || server.recv(Some(Duration::from_secs(10))));
         std::thread::sleep(Duration::from_millis(20));
+        let closed_at = Instant::now();
         client.close();
         assert!(matches!(
             t.join().unwrap(),
             Err(NtcsError::ConnectionClosed)
         ));
+        // The close unparks the receiver; it must not sit out its timeout.
+        assert!(closed_at.elapsed() < Duration::from_secs(2));
+    }
+
+    /// Spins until `ring`'s consumer has spent its spin and is parking.
+    fn await_parked<T>(ring: &ShmRing<T>) {
+        while !ring.parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_receiver_wakes_on_push() {
+        let ipcs = ShmIpcs::new();
+        let (client, server) = pair(&ipcs);
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                let got = client.recv(Some(Duration::from_secs(5)));
+                (got, Instant::now())
+            });
+            await_parked(&client.rx);
+            let pushed_at = Instant::now();
+            server.send(Bytes::from_static(b"wake")).unwrap();
+            let (got, woke_at) = t.join().unwrap();
+            assert_eq!(got.unwrap(), Bytes::from_static(b"wake"));
+            assert!(woke_at.duration_since(pushed_at) < Duration::from_secs(1));
+        });
+    }
+
+    #[test]
+    fn ring_push_unparks_only_a_parked_consumer() {
+        let ring = ShmRing::new(4);
+        // No consumer has parked: a push finds nobody to wake.
+        ring.try_push(1).unwrap();
+        assert!(!ring.parked.load(Ordering::SeqCst));
+        assert_eq!(ring.try_pop(), Some(1));
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                while ring.is_empty() {
+                    ring.park_consumer(Some(Duration::from_secs(5)), || false);
+                }
+                ring.try_pop()
+            });
+            await_parked(&ring);
+            let pushed_at = Instant::now();
+            ring.try_push(2).unwrap();
+            assert_eq!(t.join().unwrap(), Some(2));
+            assert!(pushed_at.elapsed() < Duration::from_secs(1));
+        });
     }
 }

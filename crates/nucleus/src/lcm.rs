@@ -20,11 +20,13 @@
 //! Nucleus is passive, §2.1). Each established circuit has a lightweight
 //! reader thread that only shuttles raw frames into the module's event
 //! queue, and each listening endpoint has an acceptor thread; neither runs
-//! protocol logic beyond the initial open/ack handshake.
+//! protocol logic beyond the initial open/ack handshake. When several
+//! callers wait on one Nucleus at once, one of them leads the pump and the
+//! others sleep until it has dispatched (see `Nucleus::wait_until`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -174,6 +176,10 @@ struct LcmState {
     /// on a different substrate (the relocation handoff) is detected.
     /// Entries follow forwarding addresses when a peer relocates.
     last_substrate: HashMap<UAdd, u32>,
+    /// Whether a waiter is leading the pump (see `Nucleus::wait_until`).
+    pump_leader: bool,
+    /// Waiters asleep on `Inner::pumped` until the leader has dispatched.
+    pump_followers: usize,
 }
 
 impl LcmState {
@@ -188,9 +194,15 @@ impl LcmState {
             seen_reliable: std::collections::HashSet::new(),
             seen_reliable_order: VecDeque::new(),
             last_substrate: HashMap::new(),
+            pump_leader: false,
+            pump_followers: 0,
         }
     }
 }
+
+/// The longest a waiter blocks before re-checking its deadline and the
+/// shutdown flag; wakeups for its condition come from dispatch, not this.
+const PUMP_SLICE: Duration = Duration::from_millis(50);
 
 /// Message type id reserved for LCM-level acknowledgements (reliable
 /// extension); never delivered to the application.
@@ -233,6 +245,9 @@ struct Inner {
     msg_seq: AtomicU64,
     conn_seq: AtomicU64,
     state: Mutex<LcmState>,
+    /// Paired with `state`: followers sleep here until the pump leader has
+    /// dispatched a round of events (or resigned).
+    pumped: Condvar,
     events_tx: Sender<Event>,
     events_rx: Receiver<Event>,
     trace: LayerTrace,
@@ -272,6 +287,20 @@ impl std::fmt::Debug for Nucleus {
             .field("module", &self.inner.config.module_hint)
             .field("uadd", &*self.inner.my_uadd.read())
             .finish()
+    }
+}
+
+/// A non-owning handle to a [`Nucleus`] (see [`Nucleus::downgrade`]).
+#[derive(Clone, Debug)]
+pub struct WeakNucleus {
+    inner: Weak<Inner>,
+}
+
+impl WeakNucleus {
+    /// The Nucleus, if any handle or thread still holds it.
+    #[must_use]
+    pub fn upgrade(&self) -> Option<Nucleus> {
+        self.inner.upgrade().map(|inner| Nucleus { inner })
     }
 }
 
@@ -348,6 +377,7 @@ impl Nucleus {
             msg_seq: AtomicU64::new(1),
             conn_seq: AtomicU64::new(1),
             state: Mutex::new(LcmState::new(inbox_cap)),
+            pumped: Condvar::new(),
             events_tx,
             events_rx,
             trace: LayerTrace::default(),
@@ -391,6 +421,16 @@ impl Nucleus {
     // ------------------------------------------------------------------
     // Identity & wiring
     // ------------------------------------------------------------------
+
+    /// A handle that does not keep this Nucleus alive: once it is shut
+    /// down and its threads have exited, dropping the last [`Nucleus`]
+    /// frees it and [`WeakNucleus::upgrade`] returns `None`.
+    #[must_use]
+    pub fn downgrade(&self) -> WeakNucleus {
+        WeakNucleus {
+            inner: Arc::downgrade(&self.inner),
+        }
+    }
 
     /// This module's current address (a TAdd until registration completes).
     #[must_use]
@@ -658,13 +698,19 @@ impl Nucleus {
     }
 
     /// Shuts the binding down: closes every circuit and listener. Idempotent.
+    ///
+    /// Also drops every installed handle that may point back at this
+    /// Nucleus (the resolver, the gateway handler, the intercepts and the
+    /// dead-letter sink), so a shut-down Nucleus is freed once its last
+    /// handle is dropped and its threads have exited.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         self.inner.nd.close_all();
-        // Intercept hooks routinely capture a clone of this Nucleus;
-        // dropping them here breaks the reference cycle.
+        *self.inner.resolver.write() = None;
+        *self.inner.gateway.write() = None;
+        *self.inner.dead_letter.write() = None;
         self.inner.intercepts.write().clear();
         let mut st = self.inner.state.lock();
         for (_, e) in st.conns.iter() {
@@ -672,6 +718,8 @@ impl Nucleus {
         }
         st.conns.clear();
         st.by_peer.clear();
+        // Followers re-check the shutdown flag now, not at their slice end.
+        self.inner.pumped.notify_all();
     }
 
     /// Whether the binding has been shut down.
@@ -857,15 +905,14 @@ impl Nucleus {
             // Wait for the ack, retransmitting after the scheduled window.
             let window = schedule.next().unwrap_or(policy.base_backoff);
             let try_deadline = (Instant::now() + window).min(deadline);
-            loop {
-                if self.inner.state.lock().acks.remove(&msg_id) {
-                    return Ok(msg_id);
+            match self.wait_until(Some(try_deadline), |st| {
+                st.acks.remove(&msg_id).then_some(())
+            }) {
+                Ok(Some(())) => return Ok(msg_id),
+                Ok(None) => {}
+                Err(e) => {
+                    return Err(self.dead_letter(dst, msg_id, M::TYPE_ID, attempts, e));
                 }
-                let now = Instant::now();
-                if now >= try_deadline {
-                    break;
-                }
-                self.pump_once(Some((try_deadline - now).min(Duration::from_millis(20))))?;
             }
         }
     }
@@ -958,34 +1005,27 @@ impl Nucleus {
     /// [`NtcsError::Timeout`] if nothing arrives in time,
     /// [`NtcsError::ShutDown`] after shutdown.
     pub fn recv(&self, timeout: Option<Duration>) -> Result<Received> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if self.is_shut_down() {
-                return Err(NtcsError::ShutDown);
-            }
-            let popped = self.inner.state.lock().inbox.pop_front();
-            if let Some(m) = popped {
-                self.inner.metrics.bump(&self.inner.metrics.recvs);
-                if m.reliable {
-                    // Reliable extension: the ack means *delivered to the
-                    // application*, not merely buffered — exactly the
-                    // distinction §3.5 draws about internally buffered
-                    // messages in failed modules.
-                    let lvc = {
-                        let st = self.inner.state.lock();
-                        st.conns
-                            .get(&m.conn_id)
-                            .map(|e| (e.lvc.clone(), e.wire_peer))
-                    };
-                    if let Some((lvc, wire_peer)) = lvc {
-                        send_reliable_ack(&self.inner, &lvc, wire_peer, m.msg_id);
-                    }
-                }
-                self.note_drain(&m);
-                return Ok(m);
-            }
-            self.pump_once(remaining(deadline)?)?;
+        let (m, ack_to) = self.wait_for(timeout, |st| {
+            let m = st.inbox.pop_front()?;
+            // Reliable extension: the ack means *delivered to the
+            // application*, not merely buffered — exactly the distinction
+            // §3.5 draws about internally buffered messages in failed
+            // modules.
+            let ack_to = if m.reliable {
+                st.conns
+                    .get(&m.conn_id)
+                    .map(|e| (e.lvc.clone(), e.wire_peer))
+            } else {
+                None
+            };
+            Some((m, ack_to))
+        })?;
+        self.inner.metrics.bump(&self.inner.metrics.recvs);
+        if let Some((lvc, wire_peer)) = ack_to {
+            send_reliable_ack(&self.inner, &lvc, wire_peer, m.msg_id);
         }
+        self.note_drain(&m);
+        Ok(m)
     }
 
     /// Receives the next message of exactly `type_id`, leaving every other
@@ -1000,25 +1040,13 @@ impl Nucleus {
     /// [`NtcsError::Timeout`] if nothing of that type arrives in time,
     /// [`NtcsError::ShutDown`] after shutdown.
     pub fn recv_of_type(&self, type_id: u32, timeout: Option<Duration>) -> Result<Received> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if self.is_shut_down() {
-                return Err(NtcsError::ShutDown);
-            }
-            let hit = {
-                let mut st = self.inner.state.lock();
-                st.inbox
-                    .iter()
-                    .position(|m| m.payload.type_id == type_id)
-                    .map(|pos| st.inbox.remove(pos).expect("position valid"))
-            };
-            if let Some(m) = hit {
-                self.inner.metrics.bump(&self.inner.metrics.recvs);
-                self.note_drain(&m);
-                return Ok(m);
-            }
-            self.pump_once(remaining(deadline)?)?;
-        }
+        let m = self.wait_for(timeout, |st| {
+            let pos = st.inbox.iter().position(|m| m.payload.type_id == type_id)?;
+            st.inbox.remove(pos)
+        })?;
+        self.inner.metrics.bump(&self.inner.metrics.recvs);
+        self.note_drain(&m);
+        Ok(m)
     }
 
     /// Credits the application's consumption of a bulk-lane message back
@@ -1063,25 +1091,13 @@ impl Nucleus {
     ///
     /// [`NtcsError::Timeout`] if no reply arrives in time.
     pub fn wait_reply(&self, msg_id: u64, timeout: Option<Duration>) -> Result<Received> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if self.is_shut_down() {
-                return Err(NtcsError::ShutDown);
-            }
-            let hit = {
-                let mut st = self.inner.state.lock();
-                st.inbox
-                    .iter()
-                    .position(|m| m.reply_to == msg_id)
-                    .map(|pos| st.inbox.remove(pos).expect("position valid"))
-            };
-            if let Some(m) = hit {
-                self.inner.metrics.bump(&self.inner.metrics.recvs);
-                self.note_drain(&m);
-                return Ok(m);
-            }
-            self.pump_once(remaining(deadline)?)?;
-        }
+        let m = self.wait_for(timeout, |st| {
+            let pos = st.inbox.iter().position(|m| m.reply_to == msg_id)?;
+            st.inbox.remove(pos)
+        })?;
+        self.inner.metrics.bump(&self.inner.metrics.recvs);
+        self.note_drain(&m);
+        Ok(m)
     }
 
     /// Replies to a received message, preferring the circuit it arrived on
@@ -1155,13 +1171,8 @@ impl Nucleus {
             h.msg_id = msg_id;
             e.lvc.send_frame(&Frame::control(h))?;
         }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if self.inner.state.lock().pongs.remove(&msg_id).is_some() {
-                return Ok(started.elapsed());
-            }
-            self.pump_once(remaining(deadline)?)?;
-        }
+        self.wait_for(timeout, |st| st.pongs.remove(&msg_id))?;
+        Ok(started.elapsed())
     }
 
     // ------------------------------------------------------------------
@@ -1495,16 +1506,14 @@ impl Nucleus {
         match self.inner.config.flow.policy {
             ntcs_flow::FlowPolicy::Block => {
                 let deadline = Instant::now() + self.inner.config.flow.stall_timeout;
-                loop {
-                    self.pump_once(Some(Duration::from_millis(5)))?;
-                    if flow.window.try_acquire(need) {
-                        return Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        self.maybe_dump_snapshot("flow-stalled");
-                        return Err(NtcsError::FlowStalled(target.raw()));
-                    }
+                let granted = self.wait_until(Some(deadline), |_| {
+                    flow.window.try_acquire(need).then_some(())
+                })?;
+                if granted.is_none() {
+                    self.maybe_dump_snapshot("flow-stalled");
+                    return Err(NtcsError::FlowStalled(target.raw()));
                 }
+                Ok(())
             }
             ntcs_flow::FlowPolicy::ShedNewest => {
                 if !reliable {
@@ -2010,21 +2019,17 @@ impl Nucleus {
         // Pump until the ack arrives (the passive Nucleus keeps working on
         // the caller's stack while waiting).
         let deadline = Instant::now() + self.inner.config.open_timeout;
-        loop {
-            {
-                let st = self.inner.state.lock();
-                match st.conns.get(&conn_id) {
-                    Some(e) if e.established => break,
-                    Some(e) if e.closed => return Err(NtcsError::ConnectionClosed),
-                    Some(_) => {}
-                    None => return Err(NtcsError::ConnectionClosed),
-                }
-            }
-            if Instant::now() >= deadline {
+        let acked = self.wait_until(Some(deadline), |st| match st.conns.get(&conn_id) {
+            Some(e) if e.established => Some(Ok(())),
+            Some(e) if !e.closed => None,
+            _ => Some(Err(NtcsError::ConnectionClosed)),
+        })?;
+        match acked {
+            Some(outcome) => outcome?,
+            None => {
                 self.mark_conn_closed(conn_id);
                 return Err(NtcsError::Timeout);
             }
-            self.pump_once(Some(Duration::from_millis(10)))?;
         }
         self.inner.metrics.bump(&self.inner.metrics.circuits_opened);
         self.inner
@@ -2041,21 +2046,99 @@ impl Nucleus {
     // The pump: the passive Nucleus's event processing
     // ------------------------------------------------------------------
 
-    /// Processes queued events for up to `wait` ("the housekeeping which
-    /// must occur every time the passive Nucleus is called", §6.2).
-    fn pump_once(&self, wait: Option<Duration>) -> Result<()> {
-        let first = match wait {
-            Some(w) => match self.inner.events_rx.recv_timeout(w) {
-                Ok(ev) => Some(ev),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => None,
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(NtcsError::ShutDown)
+    /// [`Nucleus::wait_until`] with a relative timeout (`None` waits
+    /// forever); an expired timeout is [`NtcsError::Timeout`].
+    fn wait_for<T>(
+        &self,
+        timeout: Option<Duration>,
+        ready: impl FnMut(&mut LcmState) -> Option<T>,
+    ) -> Result<T> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.wait_until(deadline, ready)?.ok_or(NtcsError::Timeout)
+    }
+
+    /// The one wait of the passive Nucleus: pumps events until `ready`,
+    /// checked under the state lock, yields a value. `Ok(None)` means
+    /// `deadline` passed first; [`NtcsError::ShutDown`] that the binding
+    /// was shut down.
+    ///
+    /// One waiter at a time leads: it blocks on the event queue and
+    /// dispatches on its own stack, so protocol logic still runs on a
+    /// caller's thread (§2.1). Every other waiter sleeps on
+    /// `Inner::pumped` and the leader notifies them after each pump round,
+    /// so a reply the leader dispatches for another caller wakes that
+    /// caller at once instead of stranding it until some later event.
+    /// Leadership passes on when the leader returns. A lone waiter takes
+    /// no extra lock and never notifies.
+    ///
+    /// Dispatch (intercept hooks included) must never wait: a nested wait
+    /// on the leader's own thread would follow itself.
+    fn wait_until<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut ready: impl FnMut(&mut LcmState) -> Option<T>,
+    ) -> Result<Option<T>> {
+        let inner = &*self.inner;
+        // Declared before `st`, so a panic releases the state lock before
+        // `PumpLead::drop` takes it.
+        let mut lead: Option<PumpLead<'_>> = None;
+        let mut st = inner.state.lock();
+        let outcome = loop {
+            if self.is_shut_down() {
+                break Err(NtcsError::ShutDown);
+            }
+            if let Some(v) = ready(&mut st) {
+                break Ok(Some(v));
+            }
+            let slice = match deadline {
+                None => PUMP_SLICE,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => left.min(PUMP_SLICE),
+                    _ => break Ok(None),
+                },
+            };
+            if lead.is_none() {
+                if st.pump_leader {
+                    st.pump_followers += 1;
+                    st = match inner.pumped.wait_timeout(st, slice) {
+                        Ok((g, _)) => g,
+                        Err(poisoned) => poisoned.into_inner().0,
+                    };
+                    st.pump_followers -= 1;
+                    continue;
                 }
-            },
-            None => None,
+                st.pump_leader = true;
+                lead = Some(PumpLead(inner));
+            }
+            drop(st);
+            let pumped = self.pump_once(slice);
+            st = inner.state.lock();
+            if st.pump_followers > 0 {
+                inner.pumped.notify_all();
+            }
+            if let Err(e) = pumped {
+                break Err(e);
+            }
         };
-        if let Some(ev) = first {
-            self.dispatch(ev);
+        if lead.is_some() {
+            st.pump_leader = false;
+            if st.pump_followers > 0 {
+                inner.pumped.notify_all();
+            }
+        }
+        outcome
+    }
+
+    /// Processes queued events, blocking up to `wait` for the first ("the
+    /// housekeeping which must occur every time the passive Nucleus is
+    /// called", §6.2). Only the pump leader calls this.
+    fn pump_once(&self, wait: Duration) -> Result<()> {
+        match self.inner.events_rx.recv_timeout(wait) {
+            Ok(ev) => self.dispatch(ev),
+            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
+            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                return Err(NtcsError::ShutDown)
+            }
         }
         while let Ok(ev) = self.inner.events_rx.try_recv() {
             self.dispatch(ev);
@@ -2289,16 +2372,16 @@ impl Nucleus {
     }
 }
 
-fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>> {
-    match deadline {
-        None => Ok(Some(Duration::from_millis(50))),
-        Some(d) => {
-            let now = Instant::now();
-            if now >= d {
-                Err(NtcsError::Timeout)
-            } else {
-                Ok(Some((d - now).min(Duration::from_millis(50))))
-            }
+/// The pump leader's seat. Resigned inline by [`Nucleus::wait_until`];
+/// this drop only acts when dispatch panicked, so the followers are not
+/// left waiting on a leader that will never notify them.
+struct PumpLead<'a>(&'a Inner);
+
+impl Drop for PumpLead<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().pump_leader = false;
+            self.0.pumped.notify_all();
         }
     }
 }
@@ -2799,6 +2882,50 @@ mod tests {
         let rtt = r.a.ping(r.ub, T).unwrap();
         assert!(rtt < Duration::from_secs(1));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn reply_dispatched_by_another_waiter_wakes_its_owner() {
+        // Two callers wait on one Nucleus for different replies. Only the
+        // second caller's reply is ever sent, and the first caller, which
+        // started waiting first, is pumping when it arrives. The dispatch
+        // must wake the second caller rather than leave it blocked until
+        // its own wait slice runs out or some later event arrives.
+        let r = rig(NetKind::Mbx, MachineType::Sun, MachineType::Sun);
+        let first = r.a.send_message(r.ub, &Greeting::default(), true).unwrap();
+        let second = r.a.send_message(r.ub, &Greeting::default(), true).unwrap();
+        let q1 = r.b.recv(T).unwrap();
+        let q2 = r.b.recv(T).unwrap();
+        assert_eq!((q1.msg_id, q2.msg_id), (first, second));
+        let until = |cond: &dyn Fn(&LcmState) -> bool| {
+            while !cond(&r.a.inner.state.lock()) {
+                std::thread::yield_now();
+            }
+        };
+        let a1 = r.a.clone();
+        let waiter1 = std::thread::spawn(move || a1.wait_reply(first, T));
+        until(&|st| st.pump_leader);
+        let a2 = r.a.clone();
+        let waiter2 = std::thread::spawn(move || {
+            let got = a2.wait_reply(second, T);
+            (got, Instant::now())
+        });
+        until(&|st| st.pump_followers == 1);
+        let sent_at = Instant::now();
+        r.b.reply_message(&q2, &Answer::default()).unwrap();
+        let (got, woke_at) = waiter2.join().unwrap();
+        assert_eq!(got.unwrap().reply_to, second);
+        let waited = woke_at.duration_since(sent_at);
+        assert!(
+            waited < PUMP_SLICE / 2,
+            "second caller woke {waited:?} after its reply was sent"
+        );
+        assert!(
+            !waiter1.is_finished(),
+            "no reply was sent to the first caller"
+        );
+        r.a.shutdown();
+        assert!(matches!(waiter1.join().unwrap(), Err(NtcsError::ShutDown)));
     }
 
     #[test]

@@ -118,6 +118,11 @@ fn relocation_hands_off_shm_to_tcp_without_loss() {
             )
             .unwrap();
     }
+    // The reliable ack fires when the service's receive() returns, before
+    // its handler records the message. The host checks for a stop only
+    // between messages, so stopping it (which joins its thread) lets the
+    // last handler finish before `seen` is read.
+    host.stop();
 
     let got = seen.lock().unwrap().clone();
     assert_eq!(
